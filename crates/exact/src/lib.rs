@@ -35,7 +35,12 @@
 //! order itself (identity in the emitted program's index space), and
 //! optimality is an [`InfeasibilityProof`]: a minimized unsat core at
 //! `II − 1`, stored as *semantic* [`ProofClause`]s whose literals are a
-//! pure function of `(n, II)`. The checker re-derives each clause's
+//! pure function of `(n, II)`. The core is minimized by deletion
+//! ([`slc_sat::minimize_core`]): each clause is dropped in turn and the
+//! drop kept while the rest stays unsatisfiable, so no proof clause is
+//! redundant. Sub-solves that model rotation has already shown
+//! satisfiable are skipped, which leaves the core exactly as the plain
+//! deletion loop would. The checker re-derives each clause's
 //! validity from its own dependence analysis and re-establishes
 //! unsatisfiability by brute-force enumeration (small cores) or a fresh
 //! CDCL run — never trusting the scheduler's solver.
@@ -329,8 +334,8 @@ impl ExactScheduler {
     }
 
     /// Build the `(n, ii)` encoding: clauses plus the aligned semantic
-    /// description of each clause.
-    fn encode(&self, deps: &[Dep], n: usize, ii: i64) -> (Vec<Vec<Lit>>, Vec<ProofClause>) {
+    /// description of each clause. Panics if a distance is unknown.
+    pub fn encode(&self, deps: &[Dep], n: usize, ii: i64) -> (Vec<Vec<Lit>>, Vec<ProofClause>) {
         let mut clauses = Vec::new();
         let mut meta = Vec::new();
         for k in 0..n {

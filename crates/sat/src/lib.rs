@@ -14,6 +14,18 @@
 //! the same core, which is what lets solver statistics flow into the
 //! byte-identical batch report.
 //!
+//! **The search trajectory and the cores are part of the contract.** The
+//! sequence of decisions, propagations, conflicts, learned clauses and
+//! restarts, the [`Stats`] it adds up to, the model and the core are all
+//! pinned downstream: by the exact scheduler's certificates, the batch
+//! report digest, the `exact.*` counters and histograms, and the golden
+//! solves in `slc-exact`'s tests. A change to this crate may make the
+//! search cheaper but must not change where it goes. The hot paths are
+//! allocation-free for that reason rather than smarter: clause literals
+//! live in one arena, watch lists are compacted in place, origin sets
+//! are bitsets over original clause ids, and conflict analysis reuses
+//! its buffers.
+//!
 //! ```
 //! use slc_sat::{Lit, Outcome, Solver};
 //! let mut s = Solver::new();
@@ -24,8 +36,6 @@
 //!     Outcome::Unsat(_) => unreachable!(),
 //! }
 //! ```
-
-use std::collections::BTreeSet;
 
 /// Variable index (0-based, dense).
 pub type Var = usize;
@@ -114,18 +124,19 @@ pub struct Stats {
     pub learned: u64,
 }
 
-/// One stored clause (original or learned).
+/// One stored clause (original or learned): a range of the literal arena.
+#[derive(Clone, Copy)]
 struct Clause {
-    lits: Vec<Lit>,
-    /// sorted original clause ids this clause is derived from (an original
-    /// clause's origin set is just itself)
-    origins: Vec<usize>,
+    start: usize,
+    len: usize,
 }
 
 /// Conflict-driven clause-learning solver. Build with [`Solver::new`],
 /// add clauses, then call [`Solver::solve`] (idempotent — the outcome is
 /// memoized).
 pub struct Solver {
+    /// literals of every clause, back to back
+    lits: Vec<Lit>,
     clauses: Vec<Clause>,
     /// ids of original clauses (prefix of `clauses`)
     n_original: usize,
@@ -146,6 +157,28 @@ pub struct Solver {
     root_unsat: Option<Vec<usize>>,
     memo: Option<Outcome>,
     stats: Stats,
+    /// 64-bit words per origin set (`⌈n_original / 64⌉`, fixed at solve)
+    origin_words: usize,
+    /// origin sets of learned clauses: a bitset over original clause ids,
+    /// `origin_words` words per learned clause, in learning order (an
+    /// original clause's origin set is just itself and is not stored)
+    learned_origins: Vec<u64>,
+    /// conflict-analysis scratch, reused across conflicts
+    scratch: Scratch,
+}
+
+/// Buffers conflict analysis and core extraction reuse instead of
+/// allocating per call.
+#[derive(Default)]
+struct Scratch {
+    /// variables resolved on (or kept in the learned clause) at level > 0
+    seen: Vec<bool>,
+    /// level-0 variables whose reason chain is already in `origins`
+    seen0: Vec<bool>,
+    stack: Vec<Var>,
+    learnt: Vec<Lit>,
+    /// origin set under construction
+    origins: Vec<u64>,
 }
 
 impl Default for Solver {
@@ -176,6 +209,7 @@ impl Solver {
     /// An empty instance.
     pub fn new() -> Self {
         Solver {
+            lits: Vec::new(),
             clauses: Vec::new(),
             n_original: 0,
             units: Vec::new(),
@@ -192,6 +226,9 @@ impl Solver {
             root_unsat: None,
             memo: None,
             stats: Stats::default(),
+            origin_words: 0,
+            learned_origins: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -206,15 +243,49 @@ impl Solver {
     }
 
     fn grow_to(&mut self, v: Var) {
-        while self.assigns.len() <= v {
-            self.assigns.push(None);
-            self.phase.push(false);
-            self.level.push(0);
-            self.reason.push(None);
-            self.activity.push(0.0);
-            self.watches.push(Vec::new());
-            self.watches.push(Vec::new());
+        let n = v + 1;
+        if self.assigns.len() >= n {
+            return;
         }
+        self.assigns.resize(n, None);
+        self.phase.resize(n, false);
+        self.level.resize(n, 0);
+        self.reason.resize(n, None);
+        self.activity.resize(n, 0.0);
+        // watch lists outlive [`Solver::clear`] to keep their buffers
+        if self.watches.len() < 2 * n {
+            self.watches.resize_with(2 * n, Vec::new);
+        }
+    }
+
+    /// Back to the state of [`Solver::new`], keeping every buffer.
+    fn clear(&mut self) {
+        self.lits.clear();
+        self.clauses.clear();
+        self.n_original = 0;
+        self.units.clear();
+        for w in &mut self.watches {
+            w.clear();
+        }
+        self.assigns.clear();
+        self.phase.clear();
+        self.level.clear();
+        self.reason.clear();
+        self.trail.clear();
+        self.trail_lim.clear();
+        self.qhead = 0;
+        self.activity.clear();
+        self.var_inc = 1.0;
+        self.root_unsat = None;
+        self.memo = None;
+        self.stats = Stats::default();
+        self.origin_words = 0;
+        self.learned_origins.clear();
+    }
+
+    fn clause_lits(&self, ci: usize) -> &[Lit] {
+        let c = self.clauses[ci];
+        &self.lits[c.start..c.start + c.len]
     }
 
     /// Add a clause (a disjunction of literals) and return its id.
@@ -224,15 +295,26 @@ impl Solver {
     pub fn add_clause(&mut self, lits: &[Lit]) -> usize {
         assert!(self.memo.is_none(), "add_clause after solve");
         let id = self.clauses.len();
-        let mut ls: Vec<Lit> = lits.to_vec();
-        ls.sort();
-        ls.dedup();
+        let start = self.lits.len();
+        self.lits.extend_from_slice(lits);
+        let ls = &mut self.lits[start..];
+        ls.sort_unstable();
+        let mut len = 0;
+        for k in 0..ls.len() {
+            if len == 0 || ls[k] != ls[len - 1] {
+                ls[len] = ls[k];
+                len += 1;
+            }
+        }
+        self.lits.truncate(start + len);
+        let ls = &self.lits[start..];
         let tautology = ls.windows(2).any(|w| w[0].var() == w[1].var());
-        if let Some(&m) = ls.iter().map(|l| l.var()).max().as_ref() {
+        // sorted by `2·var + sign`, so the last literal has the largest var
+        if let Some(m) = ls.last().map(|l| l.var()) {
             self.grow_to(m);
         }
         if !tautology {
-            match ls.len() {
+            match len {
                 0 => {
                     if self.root_unsat.is_none() {
                         self.root_unsat = Some(vec![id]);
@@ -240,16 +322,14 @@ impl Solver {
                 }
                 1 => self.units.push(id),
                 _ => {
-                    self.watches[ls[0].idx()].push(id);
-                    self.watches[ls[1].idx()].push(id);
+                    let (w0, w1) = (self.lits[start].idx(), self.lits[start + 1].idx());
+                    self.watches[w0].push(id);
+                    self.watches[w1].push(id);
                 }
             }
         }
         // tautologies are stored (for id stability) but never attached
-        self.clauses.push(Clause {
-            lits: ls,
-            origins: vec![id],
-        });
+        self.clauses.push(Clause { start, len });
         self.n_original = self.clauses.len();
         id
     }
@@ -275,52 +355,51 @@ impl Solver {
         }
     }
 
-    /// Two-watched-literal BCP. Returns a conflicting clause index.
+    /// Two-watched-literal BCP. Returns a conflicting clause index. The
+    /// watch list of the falsified literal is compacted in place, keeping
+    /// the order of the clauses that still watch it.
     fn propagate(&mut self) -> Option<usize> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             let false_lit = p.negate();
-            let watchers = std::mem::take(&mut self.watches[false_lit.idx()]);
-            let mut kept = Vec::with_capacity(watchers.len());
+            let mut ws = std::mem::take(&mut self.watches[false_lit.idx()]);
+            let (mut read, mut kept) = (0, 0);
             let mut conflict = None;
-            for (wi, &ci) in watchers.iter().enumerate() {
-                if conflict.is_some() {
-                    kept.push(ci);
-                    continue;
+            while read < ws.len() {
+                let ci = ws[read];
+                read += 1;
+                let Clause { start, len } = self.clauses[ci];
+                if self.lits[start] == false_lit {
+                    self.lits.swap(start, start + 1);
                 }
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
-                }
-                let first = self.clauses[ci].lits[0];
-                if self.lit_value(first) == Some(true) {
-                    kept.push(ci);
-                    continue;
-                }
-                let mut moved = false;
-                for k in 2..self.clauses[ci].lits.len() {
-                    let lk = self.clauses[ci].lits[k];
-                    if self.lit_value(lk) != Some(false) {
-                        self.clauses[ci].lits.swap(1, k);
-                        let w = self.clauses[ci].lits[1];
+                let first = self.lits[start];
+                if self.lit_value(first) != Some(true) {
+                    let replacement =
+                        (2..len).find(|&k| self.lit_value(self.lits[start + k]) != Some(false));
+                    if let Some(k) = replacement {
+                        self.lits.swap(start + 1, start + k);
+                        let w = self.lits[start + 1];
                         self.watches[w.idx()].push(ci);
-                        moved = true;
-                        break;
+                        continue;
+                    }
+                    if self.lit_value(first) == Some(false) {
+                        conflict = Some(ci);
+                    } else {
+                        self.enqueue(first, Some(ci));
                     }
                 }
-                if moved {
-                    continue;
-                }
-                kept.push(ci);
-                if self.lit_value(first) == Some(false) {
-                    conflict = Some(ci);
-                    // requeue the rest of this watch list untouched
-                    let _ = wi;
-                } else {
-                    self.enqueue(first, Some(ci));
+                ws[kept] = ci;
+                kept += 1;
+                if conflict.is_some() {
+                    // keep the rest of this watch list untouched
+                    ws.copy_within(read.., kept);
+                    kept += ws.len() - read;
+                    break;
                 }
             }
-            self.watches[false_lit.idx()] = kept;
+            ws.truncate(kept);
+            self.watches[false_lit.idx()] = ws;
             if let Some(ci) = conflict {
                 self.qhead = self.trail.len();
                 return Some(ci);
@@ -343,79 +422,110 @@ impl Solver {
         self.var_inc /= 0.95;
     }
 
-    /// Union the origin closure of a level-0 assigned variable into `out`
-    /// (the reason chain that forced it).
-    fn level0_origins(&self, v0: Var, out: &mut BTreeSet<usize>) {
-        let mut stack = vec![v0];
-        let mut seen = vec![false; self.num_vars()];
-        while let Some(v) = stack.pop() {
-            if seen[v] {
+    /// Union the origin set of clause `ci` into `out`.
+    fn add_origins(&self, ci: usize, out: &mut [u64]) {
+        if ci < self.n_original {
+            out[ci / 64] |= 1 << (ci % 64);
+        } else {
+            let base = (ci - self.n_original) * self.origin_words;
+            let set = &self.learned_origins[base..base + self.origin_words];
+            for (o, s) in out.iter_mut().zip(set) {
+                *o |= s;
+            }
+        }
+    }
+
+    /// Union the origin closure of a level-0 assigned variable into
+    /// `sc.origins` (the reason chain that forced it). Variables already
+    /// marked in `sc.seen0` have their closure in the set already.
+    fn level0_origins(&self, v0: Var, sc: &mut Scratch) {
+        sc.stack.push(v0);
+        while let Some(v) = sc.stack.pop() {
+            if sc.seen0[v] {
                 continue;
             }
-            seen[v] = true;
+            sc.seen0[v] = true;
             if let Some(r) = self.reason[v] {
-                out.extend(self.clauses[r].origins.iter().copied());
-                for &q in &self.clauses[r].lits {
+                self.add_origins(r, &mut sc.origins);
+                for &q in self.clause_lits(r) {
                     if q.var() != v {
-                        stack.push(q.var());
+                        sc.stack.push(q.var());
                     }
                 }
             }
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learned clause (asserting
-    /// literal first, second-highest-level literal second), the backjump
-    /// level, and the origin set of the resolution.
-    fn analyze(&mut self, mut confl: usize) -> (Vec<Lit>, u32, Vec<usize>) {
+    /// Reset the scratch buffers for one analysis or core extraction.
+    fn take_scratch(&mut self) -> Scratch {
+        let mut sc = std::mem::take(&mut self.scratch);
+        sc.seen0.clear();
+        sc.seen0.resize(self.num_vars(), false);
+        sc.seen.resize(self.num_vars(), false);
+        sc.origins.clear();
+        sc.origins.resize(self.origin_words, 0);
+        sc.learnt.clear();
+        sc
+    }
+
+    /// First-UIP conflict analysis. Leaves the learned clause in
+    /// `sc.learnt` (asserting literal first, second-highest-level literal
+    /// second) and the origin set of the resolution in `sc.origins`;
+    /// returns the backjump level.
+    fn analyze(&mut self, mut confl: usize, sc: &mut Scratch) -> u32 {
         let cur = self.decision_level();
-        let mut learnt: Vec<Lit> = Vec::new();
-        let mut origins: BTreeSet<usize> = BTreeSet::new();
-        let mut seen = vec![false; self.num_vars()];
+        // slot 0 is the asserting literal, filled in at the UIP
+        sc.learnt.push(Lit(0));
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut idx = self.trail.len();
         loop {
-            origins.extend(self.clauses[confl].origins.iter().copied());
-            let lits = self.clauses[confl].lits.clone();
-            for q in lits {
+            self.add_origins(confl, &mut sc.origins);
+            let Clause { start, len } = self.clauses[confl];
+            for k in start..start + len {
+                let q = self.lits[k];
                 if Some(q) == p {
                     continue;
                 }
                 let v = q.var();
-                if seen[v] {
+                if sc.seen[v] {
                     continue;
                 }
                 if self.level[v] == 0 {
                     // globally-false literal, dropped from the learned
                     // clause — but its derivation stays in the origin set
-                    self.level0_origins(v, &mut origins);
+                    self.level0_origins(v, sc);
                     continue;
                 }
-                seen[v] = true;
+                sc.seen[v] = true;
                 self.bump(v);
                 if self.level[v] >= cur {
                     counter += 1;
                 } else {
-                    learnt.push(q);
+                    sc.learnt.push(q);
                 }
             }
             loop {
                 idx -= 1;
-                if seen[self.trail[idx].var()] {
+                if sc.seen[self.trail[idx].var()] {
                     break;
                 }
             }
             let pl = self.trail[idx];
-            seen[pl.var()] = false;
+            sc.seen[pl.var()] = false;
             counter -= 1;
             if counter == 0 {
-                learnt.insert(0, pl.negate());
+                sc.learnt[0] = pl.negate();
                 break;
             }
             p = Some(pl);
             confl = self.reason[pl.var()].expect("non-UIP literal has a reason");
         }
+        // only the lower-level literals are still marked
+        for l in &sc.learnt[1..] {
+            sc.seen[l.var()] = false;
+        }
+        let learnt = &mut sc.learnt;
         let mut back = 0;
         if learnt.len() > 1 {
             let mut mi = 1;
@@ -427,7 +537,7 @@ impl Solver {
             learnt.swap(1, mi);
             back = self.level[learnt[1].var()];
         }
-        (learnt, back, origins.into_iter().collect())
+        back
     }
 
     fn cancel_until(&mut self, lvl: u32) {
@@ -444,29 +554,42 @@ impl Solver {
         self.qhead = self.trail.len().min(self.qhead);
     }
 
-    /// Store a learned clause, attach watches, and assert its first
-    /// literal.
-    fn learn(&mut self, lits: Vec<Lit>, origins: Vec<usize>) {
+    /// Store the learned clause left in `sc` by [`Solver::analyze`],
+    /// attach watches, and assert its first literal.
+    fn learn(&mut self, sc: &Scratch) {
         self.stats.learned += 1;
         let ci = self.clauses.len();
-        let asserting = lits[0];
-        let attach = lits.len() > 1;
-        if attach {
-            self.watches[lits[0].idx()].push(ci);
-            self.watches[lits[1].idx()].push(ci);
+        let start = self.lits.len();
+        self.lits.extend_from_slice(&sc.learnt);
+        self.learned_origins.extend_from_slice(&sc.origins);
+        let len = sc.learnt.len();
+        if len > 1 {
+            self.watches[sc.learnt[0].idx()].push(ci);
+            self.watches[sc.learnt[1].idx()].push(ci);
         }
-        self.clauses.push(Clause { lits, origins });
-        self.enqueue(asserting, Some(ci));
+        self.clauses.push(Clause { start, len });
+        self.enqueue(sc.learnt[0], Some(ci));
     }
 
     /// Unsat core of a conflict at decision level 0: resolve the conflict
     /// clause against the reason chain of every falsified literal.
-    fn final_core(&self, confl: usize) -> Vec<usize> {
-        let mut origins: BTreeSet<usize> = self.clauses[confl].origins.iter().copied().collect();
-        for &q in &self.clauses[confl].lits {
-            self.level0_origins(q.var(), &mut origins);
+    fn final_core(&mut self, confl: usize) -> Vec<usize> {
+        let mut sc = self.take_scratch();
+        self.add_origins(confl, &mut sc.origins);
+        let Clause { start, len } = self.clauses[confl];
+        for k in start..start + len {
+            self.level0_origins(self.lits[k].var(), &mut sc);
         }
-        origins.into_iter().collect()
+        let mut core = Vec::new();
+        for (w, &word) in sc.origins.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                core.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        self.scratch = sc;
+        core
     }
 
     /// Pick the unassigned variable with the highest activity (ties →
@@ -497,9 +620,11 @@ impl Solver {
         if let Some(core) = &self.root_unsat {
             return Outcome::Unsat(core.clone());
         }
+        self.origin_words = self.n_original.div_ceil(64);
         // assert the original unit clauses at level 0
-        for ci in self.units.clone() {
-            let l = self.clauses[ci].lits[0];
+        for u in 0..self.units.len() {
+            let ci = self.units[u];
+            let l = self.lits[self.clauses[ci].start];
             match self.lit_value(l) {
                 Some(true) => {}
                 Some(false) => return Outcome::Unsat(self.final_core(ci)),
@@ -519,9 +644,11 @@ impl Solver {
                 if self.decision_level() == 0 {
                     return Outcome::Unsat(self.final_core(confl));
                 }
-                let (learnt, back, origins) = self.analyze(confl);
+                let mut sc = self.take_scratch();
+                let back = self.analyze(confl, &mut sc);
                 self.cancel_until(back);
-                self.learn(learnt, origins);
+                self.learn(&sc);
+                self.scratch = sc;
                 self.decay();
                 since_restart += 1;
             } else if since_restart >= limit {
@@ -595,9 +722,16 @@ pub fn brute_force(num_vars: usize, clauses: &[Vec<Lit>]) -> Option<Vec<bool>> {
             masks.push((care, falsify));
         }
     }
-    'next: for bits in 0..(1u64 << num_vars) {
+    // A clause falsified by `bits` is falsified by every model that agrees
+    // with `bits` on the clause's variables. All models up to the next
+    // change of the clause's lowest variable do, so the enumeration jumps
+    // there: the first model found is still the first in numeric order.
+    let mut bits = 0u64;
+    'next: while bits < 1u64 << num_vars {
         for &(care, falsify) in &masks {
             if bits & care == falsify {
+                let low = care & care.wrapping_neg();
+                bits = (bits | (low - 1)) + 1;
                 continue 'next;
             }
         }
@@ -609,11 +743,17 @@ pub fn brute_force(num_vars: usize, clauses: &[Vec<Lit>]) -> Option<Vec<bool>> {
 /// Solve only the clauses in `keep` (ids into `clauses`); the returned
 /// core is mapped back to ids in the original space.
 pub fn solve_subset(clauses: &[Vec<Lit>], keep: &[usize]) -> Outcome {
-    let mut s = Solver::new();
+    solve_subset_in(&mut Solver::new(), clauses, keep)
+}
+
+/// [`solve_subset`] in `s`, cleared first: the search is the one a fresh
+/// solver makes, without allocating a fresh solver's buffers.
+fn solve_subset_in(s: &mut Solver, clauses: &[Vec<Lit>], keep: &[usize]) -> Outcome {
+    s.clear();
     for &id in keep {
         s.add_clause(&clauses[id]);
     }
-    match s.solve() {
+    match s.solve_inner() {
         Outcome::Sat(m) => Outcome::Sat(m),
         Outcome::Unsat(core) => {
             let mut mapped: Vec<usize> = core.into_iter().map(|i| keep[i]).collect();
@@ -624,26 +764,148 @@ pub fn solve_subset(clauses: &[Vec<Lit>], keep: &[usize]) -> Outcome {
 }
 
 /// Deletion-based unsat-core minimization: drop each clause of `core` in
-/// turn and keep the deletion whenever the remainder is still
-/// unsatisfiable. The result is a *minimal* core (no single clause can be
-/// removed), though not necessarily a minimum one. `core` must be an
-/// unsat core of `clauses`.
+/// turn (ascending id) and keep the deletion whenever the remainder is
+/// still unsatisfiable. The result is a *minimal* core (no single clause
+/// can be removed), though not necessarily a minimum one. `core` must be
+/// an unsat core of `clauses`.
+///
+/// Sub-solves whose answer is already known are skipped by **recursive
+/// model rotation**: a satisfiable sub-solve of `cur \ {c}` returns a
+/// model that falsifies only `c`. Flipping one variable of `c` satisfies
+/// `c`; when the flipped model then falsifies exactly one other clause `d`
+/// of `cur`, it shows `cur \ {d}` satisfiable, so `d` is *critical* and
+/// rotation recurses from `d`. Criticality survives every later
+/// shrinking of `cur`, so the sub-solve for a critical clause would
+/// return SAT and is not run. Every unsatisfiable sub-solve still runs,
+/// which makes the result identical to the plain deletion loop's.
 pub fn minimize_core(clauses: &[Vec<Lit>], core: &[usize]) -> Vec<usize> {
     let mut cur: Vec<usize> = core.to_vec();
     cur.sort_unstable();
+    let mut rot = Rotation::new(clauses, &cur);
+    let mut solver = Solver::new();
+    let mut trial = Vec::with_capacity(cur.len());
     let mut i = 0;
     while i < cur.len() {
-        let mut trial = cur.clone();
-        trial.remove(i);
-        match solve_subset(clauses, &trial) {
+        let c = cur[i];
+        trial.clear();
+        trial.extend_from_slice(&cur[..i]);
+        trial.extend_from_slice(&cur[i + 1..]);
+        if rot.critical[c] {
+            debug_assert!(
+                solve_subset_in(&mut solver, clauses, &trial).is_sat(),
+                "clause {c} marked critical but the core without it is unsat"
+            );
+            i += 1;
+            continue;
+        }
+        match solve_subset_in(&mut solver, clauses, &trial) {
             Outcome::Unsat(smaller) => {
                 // the sub-solve may shrink the core further for free
+                rot.shrink(&cur, &smaller);
                 cur = smaller;
             }
-            Outcome::Sat(_) => i += 1,
+            Outcome::Sat(model) => {
+                rot.rotate(model, c);
+                i += 1;
+            }
         }
     }
     cur
+}
+
+/// Criticality bookkeeping for [`minimize_core`].
+struct Rotation<'a> {
+    clauses: &'a [Vec<Lit>],
+    /// literal index → ids of core clauses containing that literal
+    occurs: Vec<Vec<usize>>,
+    /// clause id → member of the current core
+    in_cur: Vec<bool>,
+    /// clause id → known critical (the current core without it is SAT)
+    critical: Vec<bool>,
+}
+
+impl<'a> Rotation<'a> {
+    fn new(clauses: &'a [Vec<Lit>], core: &[usize]) -> Self {
+        let num_vars = core
+            .iter()
+            .flat_map(|&c| &clauses[c])
+            .map(|l| l.var() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut occurs = vec![Vec::new(); 2 * num_vars];
+        let mut in_cur = vec![false; clauses.len()];
+        for &c in core {
+            in_cur[c] = true;
+            for l in &clauses[c] {
+                let o: &mut Vec<usize> = &mut occurs[l.idx()];
+                if o.last() != Some(&c) {
+                    o.push(c);
+                }
+            }
+        }
+        Rotation {
+            clauses,
+            occurs,
+            in_cur,
+            critical: vec![false; clauses.len()],
+        }
+    }
+
+    fn shrink(&mut self, cur: &[usize], smaller: &[usize]) {
+        for &c in cur {
+            self.in_cur[c] = false;
+        }
+        for &c in smaller {
+            self.in_cur[c] = true;
+        }
+    }
+
+    /// The single core clause `model` falsifies, given that the last flip
+    /// made `lit` false and the clause falsified before it true. Only
+    /// clauses containing `lit` can have become false.
+    fn unique_falsified(&self, model: &[bool], lit: Lit) -> Option<usize> {
+        let mut found = None;
+        for &d in &self.occurs[lit.idx()] {
+            if self.in_cur[d] && self.clauses[d].iter().all(|l| !l.eval(model)) {
+                if found.is_some() {
+                    return None;
+                }
+                found = Some(d);
+            }
+        }
+        found
+    }
+
+    /// Mark `c` critical from `model`, which satisfies every core clause
+    /// but `c`, and rotate: each frame holds a clause the current model
+    /// alone falsifies and the next of its literals to flip. Flips are
+    /// kept while descending and undone when a frame is left.
+    fn rotate(&mut self, mut model: Vec<bool>, c: usize) {
+        model.resize(self.occurs.len() / 2, false);
+        self.critical[c] = true;
+        let mut stack = vec![(c, 0usize)];
+        while let Some(top) = stack.last_mut() {
+            let (e, k) = *top;
+            let Some(&l) = self.clauses[e].get(k) else {
+                stack.pop();
+                if let Some(&(pe, pk)) = stack.last() {
+                    let v = self.clauses[pe][pk - 1].var();
+                    model[v] = !model[v];
+                }
+                continue;
+            };
+            top.1 += 1;
+            let v = l.var();
+            model[v] = !model[v];
+            match self.unique_falsified(&model, l.negate()) {
+                Some(d) if !self.critical[d] => {
+                    self.critical[d] = true;
+                    stack.push((d, 0));
+                }
+                _ => model[v] = !model[v],
+            }
+        }
+    }
 }
 
 #[cfg(test)]

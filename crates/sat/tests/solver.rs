@@ -1,10 +1,81 @@
-//! SAT solver correctness suite (ISSUE 6 satellite): the CDCL solver is
-//! property-tested against the exhaustive model enumerator on random
-//! small CNF, and its internals (unit propagation, conflict analysis,
-//! unsat cores) are pinned on hand-built instances.
+//! SAT solver correctness suite: the CDCL solver is property-tested
+//! against the exhaustive model enumerator on random small CNF, core
+//! minimization against the plain deletion loop, and the internals (unit
+//! propagation, conflict analysis, unsat cores) are pinned on hand-built
+//! instances.
 
 use proptest::prelude::*;
+use slc_exact::{Dep, ExactScheduler};
 use slc_sat::{brute_force, check_model, minimize_core, solve_subset, Lit, Outcome, Solver};
+
+/// The plain deletion loop `minimize_core` must agree with: one fresh
+/// sub-solve per clause, no model rotation.
+fn oracle_minimize_core(clauses: &[Vec<Lit>], core: &[usize]) -> Vec<usize> {
+    let mut cur: Vec<usize> = core.to_vec();
+    cur.sort_unstable();
+    let mut i = 0;
+    while i < cur.len() {
+        let mut trial = cur.clone();
+        trial.remove(i);
+        match solve_subset(clauses, &trial) {
+            Outcome::Unsat(smaller) => cur = smaller,
+            Outcome::Sat(_) => i += 1,
+        }
+    }
+    cur
+}
+
+/// The first model in numeric order (variable 0 least significant), one
+/// assignment at a time: the reference `brute_force`'s skipping must match.
+fn naive_first_model(num_vars: usize, clauses: &[Vec<Lit>]) -> Option<Vec<bool>> {
+    (0..1u64 << num_vars)
+        .map(|bits| {
+            (0..num_vars)
+                .map(|v| bits >> v & 1 == 1)
+                .collect::<Vec<bool>>()
+        })
+        .find(|m| check_model(m, clauses))
+}
+
+/// The unsat core the solver reports for `clauses`, if unsatisfiable.
+fn core_of(clauses: &[Vec<Lit>]) -> Option<Vec<usize>> {
+    let mut s = Solver::new();
+    for c in clauses {
+        s.add_clause(c);
+    }
+    match s.solve() {
+        Outcome::Unsat(core) => Some(core),
+        Outcome::Sat(_) => None,
+    }
+}
+
+/// A random exact-scheduler body of `n` MIs. Each drawn pair becomes a
+/// forward distance-0 edge, a distance-1 edge, or a distance-1 edge in
+/// both directions (which keeps the two MIs within II positions of each
+/// other), so low IIs are often refuted.
+fn deps_strategy() -> impl Strategy<Value = (usize, Vec<Dep>)> {
+    let pairs = proptest::collection::vec((0usize..6, 0usize..6, 0u8..3), 3..12);
+    (4usize..7, pairs).prop_map(|(n, raw)| {
+        let dep = |from, to, d| Dep {
+            from,
+            to,
+            dist: Some(d),
+        };
+        let mut deps = Vec::new();
+        for (a, b, kind) in raw {
+            let (a, b) = (a % n, b % n);
+            if a == b {
+                continue;
+            }
+            match kind {
+                0 => deps.push(dep(a.min(b), a.max(b), 0)),
+                1 => deps.push(dep(a, b, 1)),
+                _ => deps.extend([dep(a, b, 1), dep(b, a, 1)]),
+            }
+        }
+        (n, deps)
+    })
+}
 
 /// A random clause over `num_vars` variables with 1–4 literals.
 fn clause_strategy(num_vars: usize) -> impl Strategy<Value = Vec<Lit>> {
@@ -48,6 +119,13 @@ proptest! {
         }
     }
 
+    /// Skipping falsified blocks of assignments still finds exactly the
+    /// first model in enumeration order, or none.
+    #[test]
+    fn brute_force_matches_naive_enumeration(clauses in cnf_strategy(10)) {
+        prop_assert_eq!(brute_force(10, &clauses), naive_first_model(10, &clauses));
+    }
+
     /// `solve_subset` and `minimize_core` preserve unsatisfiability and
     /// produce cores in the original id space.
     #[test]
@@ -70,6 +148,35 @@ proptest! {
                     "core is not minimal: clause {} is redundant",
                     min[k]
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+    /// Model rotation only skips sub-solves that would return SAT, so the
+    /// minimized core is the plain deletion loop's, clause for clause.
+    #[test]
+    fn rotation_core_matches_deletion_oracle_on_random_cnf(
+        clauses in proptest::collection::vec(clause_strategy(8), 10..60)
+    ) {
+        if let Some(core) = core_of(&clauses) {
+            prop_assert_eq!(minimize_core(&clauses, &core), oracle_minimize_core(&clauses, &core));
+        }
+    }
+
+    /// The same on the exact scheduler's `(n, II)` encodings at every II
+    /// below the body size, where the refuting ones are the proofs
+    /// `slc-exact` certifies.
+    #[test]
+    fn rotation_core_matches_deletion_oracle_on_exact_encodings(body in deps_strategy()) {
+        let (n, deps) = body;
+        for ii in 1..n as i64 {
+            let (clauses, _) = ExactScheduler::default().encode(&deps, n, ii);
+            if let Some(core) = core_of(&clauses) {
+                prop_assert_eq!(minimize_core(&clauses, &core), oracle_minimize_core(&clauses, &core));
             }
         }
     }

@@ -127,7 +127,9 @@ pub fn verify_emission(
             ),
         });
     }
-    if unroll < 1 || k_iters < unroll {
+    // `k_iters < unroll` is a valid shape: the kernel loop then runs zero
+    // passes and every kernel iteration is peeled into the residual.
+    if unroll < 1 || k_iters < 1 {
         return EmissionVerdict {
             obligations,
             violations: vec![Violation::KernelShape {

@@ -32,6 +32,44 @@ fn clean_program_exits_zero() {
     std::fs::remove_file(path).ok();
 }
 
+/// `slc verify --scheduler exact` on a loop whose exact schedule unrolls
+/// the kernel 12 times over 10 kernel iterations: the kernel loop runs
+/// zero passes, the residual holds every kernel iteration, and the
+/// verifier must accept that shape.
+#[test]
+fn exact_zero_pass_kernel_exits_zero() {
+    let path = write_temp(
+        "zero_pass",
+        "float A0[28]; float A1[28]; float t0; float t1; float s; int i;\n\
+         for (i = 5; i < 20; i++) {\n\
+         A0[i + 2] = A0[i - 1];\n\
+         if (A1[i] < A0[i]) A1[i - 2] = 4.0 + A0[i + 3] + t1;\n\
+         A1[i - 1] = t1 + s;\n\
+         t0 = t1 + 2.0;\n\
+         A0[i] = A0[i - 3] * t1 * t0;\n\
+         }",
+    );
+    let out = slc()
+        .args(["--scheduler", "exact"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    let emitted = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        emitted.contains("for (i = 5; i < 5; i += 12)"),
+        "expected a zero-pass kernel:\n{emitted}"
+    );
+    let out = slc()
+        .args(["verify", "--scheduler", "exact"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout:\n{stdout}");
+    assert!(stdout.contains("verified"), "stdout:\n{stdout}");
+    std::fs::remove_file(path).ok();
+}
+
 #[test]
 fn lint_error_exits_one() {
     // `s` is initialised on one path only: the error-severity L001 fires.

@@ -9,7 +9,7 @@
 
 use slc::ast::visit::{map_exprs, rewrite_expr, shift_induction, substitute_scalar};
 use slc::ast::{parse_program, Expr, ForLoop, LValue, Program, Stmt};
-use slc::slms::{slms_loop, Expansion, SlmsConfig, SlmsOutput};
+use slc::slms::{slms_loop, Expansion, SchedulerKind, SlmsConfig, SlmsOutput};
 use slc::verify::{verify_emission, verify_slms_program};
 
 /// Schedule the first (innermost) loop of `src`; return the pre-transform
@@ -230,6 +230,48 @@ fn mutation_duplicate_epilogue_instance() {
         r.contains(&"unknown-instance") || r.contains(&"live-out-restore"),
         "got {r:?}"
     );
+}
+
+/// A short-trip loop the exact scheduler reorders to II 1 with unroll 12
+/// over only 10 kernel iterations: the kernel loop runs zero passes and
+/// every kernel iteration is peeled into the residual. The shape is valid
+/// and verifies; corrupting it is still caught.
+const ZERO_PASS: &str = "float A0[28]; float A1[28]; float t0; float t1; float s; int i;\n\
+    for (i = 5; i < 20; i++) {\n\
+    A0[i + 2] = A0[i - 1];\n\
+    if (A1[i] < A0[i]) A1[i - 2] = 4.0 + A0[i + 3] + t1;\n\
+    A1[i - 1] = t1 + s;\n\
+    t0 = t1 + 2.0;\n\
+    A0[i] = A0[i - 3] * t1 * t0;\n\
+    }";
+
+#[test]
+fn zero_pass_kernel_accepted_and_corruptions_rejected() {
+    let cfg = SlmsConfig {
+        scheduler: SchedulerKind::Exact,
+        ..SlmsConfig::default()
+    };
+    let (prog, f, out) = scheduled(ZERO_PASS, &cfg);
+    let k_iters = f.trip_count().unwrap() - out.report.max_offset;
+    assert!(
+        k_iters < out.report.unroll,
+        "want fewer kernel iterations ({k_iters}) than the unroll ({})",
+        out.report.unroll
+    );
+    let verdict = verify_emission(&prog, &f, &out.report, &out.stmts, &cfg);
+    assert!(verdict.clean(), "{:?}", verdict.violations);
+
+    // one kernel pass too many re-executes residual iterations
+    let mut bad = out.stmts.clone();
+    let k = kernel_mut(&mut bad);
+    k.bound = Expr::Int(f.init.const_int().unwrap() + k.step);
+    assert!(rules(&prog, &f, &out, &bad, &cfg).contains(&"loop-header"));
+
+    // dropping the first residual row leaves its instances unexecuted
+    let mut bad = out.stmts.clone();
+    bad.remove(kernel_pos(&bad) + 1);
+    let r = rules(&prog, &f, &out, &bad, &cfg);
+    assert!(r.contains(&"missing-instance"), "got {r:?}");
 }
 
 /// Mutation 7: widening the kernel bound by one unrolled pass executes iterations
