@@ -11,8 +11,13 @@
 //!   indices to produce concrete addresses for the cache model, without
 //!   needing value semantics (values are checked separately by the AST
 //!   interpreter).
+//!
+//! The array name and address form are shared (`Arc`): the schedulers copy
+//! every op into the bundles and kernels they emit, and those copies must
+//! not allocate.
 
 use slc_analysis::LinForm;
+use std::sync::Arc;
 
 /// Virtual register id.
 pub type VReg = u32;
@@ -58,7 +63,15 @@ pub enum OpClass {
     Branch,
 }
 
-/// All classes, for iteration.
+impl OpClass {
+    /// Position of the class in [`ALL_CLASSES`], which is also its slot in
+    /// the machine description's per-class tables.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// All classes, for iteration (in [`OpClass::index`] order).
 pub const ALL_CLASSES: [OpClass; 7] = [
     OpClass::IntAlu,
     OpClass::IntMul,
@@ -110,18 +123,18 @@ pub enum OpKind {
         /// destination register
         dst: VReg,
         /// array (memory space) name
-        array: String,
+        array: Arc<str>,
         /// symbolic linear address (element index) when affine
-        addr: Option<LinForm>,
+        addr: Option<Arc<LinForm>>,
     },
     /// `array[addr] = src`.
     Store {
         /// stored value
         src: Operand,
         /// array name
-        array: String,
+        array: Arc<str>,
         /// symbolic linear address when affine
-        addr: Option<LinForm>,
+        addr: Option<Arc<LinForm>>,
     },
     /// `dst = a <op> b`.
     Bin {
@@ -255,8 +268,8 @@ impl Op {
     /// Memory access info: (array, address linform, is_store).
     pub fn mem(&self) -> Option<(&str, Option<&LinForm>, bool)> {
         match &self.kind {
-            OpKind::Load { array, addr, .. } => Some((array, addr.as_ref(), false)),
-            OpKind::Store { array, addr, .. } => Some((array, addr.as_ref(), true)),
+            OpKind::Load { array, addr, .. } => Some((array, addr.as_deref(), false)),
+            OpKind::Store { array, addr, .. } => Some((array, addr.as_deref(), true)),
             _ => None,
         }
     }
@@ -333,6 +346,13 @@ mod tests {
             addr: None,
         });
         assert_eq!(ld.class(), OpClass::Mem);
+    }
+
+    #[test]
+    fn class_index_matches_all_classes() {
+        for (i, c) in ALL_CLASSES.iter().enumerate() {
+            assert_eq!(c.index(), i);
+        }
     }
 
     #[test]

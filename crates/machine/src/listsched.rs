@@ -3,11 +3,14 @@
 //! This is the "final compiler" stage the paper assumes under SLMS
 //! (Fig. 3): after the source-level transformation, plain list scheduling of
 //! the loop body — no modulo scheduling — packs the exposed parallelism
-//! into issue groups. Priority is critical-path height; resources are the
-//! per-class unit counts and the global issue width of the machine model.
+//! into issue groups. Priority is critical-path height (ties go to the
+//! earlier op); resources are the per-class unit counts and the global
+//! issue width of the machine model. Heights take one reverse pass over the
+//! block, and each cycle picks from a ready list fed by per-op counts of
+//! unscheduled predecessors, so no cycle rescans the whole block.
 
-use crate::deps::{intra_deps, IrEdge};
-use crate::ir::{Bundle, Op, OpClass, ALL_CLASSES};
+use crate::deps::{intra_deps, EdgeIndex};
+use crate::ir::{Bundle, Op};
 use crate::mach::MachineDesc;
 
 /// Result of list scheduling: bundles (possibly empty = stall cycles) and
@@ -32,22 +35,20 @@ impl Schedule {
     }
 }
 
-/// Critical-path height of each op (longest latency path to any sink).
-pub fn heights(n: usize, edges: &[IrEdge]) -> Vec<u32> {
-    let mut h = vec![0u32; n];
-    // reverse topological: process sinks first; edges go forward in index
-    // order except anti edges — iterate to fixpoint (graphs are tiny)
-    let mut changed = true;
-    let mut guard = 0;
-    while changed && guard < n + 8 {
-        changed = false;
-        guard += 1;
-        for e in edges {
-            let cand = h[e.to] + e.lat.max(1);
-            if h[e.from] < cand {
-                h[e.from] = cand;
-                changed = true;
-            }
+/// Critical-path height of each op: the longest path to any sink, counting
+/// every edge at least 1 cycle.
+///
+/// One pass in reverse index order is exact for a block's dependence
+/// graph: every edge there runs forward in index order (lowering puts the
+/// branch last) or ends at a sink, so every op's successors are final
+/// before the op itself is visited. `succs` holds the out-edges grouped by
+/// source.
+fn heights(succs: &EdgeIndex) -> Vec<u32> {
+    let mut h = vec![0u32; succs.len()];
+    for v in (0..succs.len()).rev() {
+        for e in succs.of(v) {
+            debug_assert!(e.to > v || succs.of(e.to).is_empty(), "{e:?} runs backward");
+            h[v] = h[v].max(h[e.to] + e.lat.max(1));
         }
     }
     h
@@ -63,58 +64,48 @@ pub fn list_schedule(ops: &[Op], m: &MachineDesc) -> Schedule {
         };
     }
     let edges = intra_deps(ops, m);
-    let h = heights(n, &edges);
-    let mut preds: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
+    let succs = EdgeIndex::new(n, &edges, |e| e.from);
+    let h = heights(&succs);
+    let class: Vec<usize> = ops.iter().map(|o| o.class().index()).collect();
+    // per op: predecessors still unscheduled, and the first cycle the
+    // scheduled ones allow it to issue in
+    let mut waiting = vec![0u32; n];
     for e in &edges {
-        preds[e.to].push((e.from, e.lat));
+        waiting[e.to] += 1;
     }
+    let mut earliest = vec![0u32; n];
+    // unscheduled ops whose predecessors are all scheduled
+    let mut ready: Vec<usize> = (0..n).filter(|&v| waiting[v] == 0).collect();
     let mut cycle_of = vec![u32::MAX; n];
-    let mut scheduled = vec![false; n];
     let mut bundles: Vec<Bundle> = Vec::new();
     let mut remaining = n;
     let mut cycle: u32 = 0;
     while remaining > 0 {
         let mut used = [0usize; 7];
-        let mut issued = 0usize;
-        let class_idx = |c: OpClass| ALL_CLASSES.iter().position(|&x| x == c).unwrap();
         let mut bundle: Bundle = Vec::new();
         // repeatedly pick the best ready op this cycle (0-lat preds may be
-        // satisfied by ops placed earlier in this same bundle)
-        loop {
-            if issued >= m.issue_width {
-                break;
-            }
-            let mut best: Option<usize> = None;
-            for v in 0..n {
-                if scheduled[v] {
-                    continue;
-                }
-                // 0-latency predecessors may share this cycle: VLIW bundle
-                // semantics read all operands before any write lands.
-                let ready = preds[v]
-                    .iter()
-                    .all(|&(u, lat)| scheduled[u] && cycle_of[u] + lat <= cycle);
-                if !ready {
-                    continue;
-                }
-                let ci = class_idx(ops[v].class());
-                if used[ci] >= m.units_of(ops[v].class()) {
-                    continue;
-                }
-                match best {
-                    None => best = Some(v),
-                    Some(b) if h[v] > h[b] => best = Some(v),
-                    _ => {}
-                }
-            }
-            let Some(v) = best else { break };
-            let ci = class_idx(ops[v].class());
-            used[ci] += 1;
-            issued += 1;
-            scheduled[v] = true;
+        // satisfied by ops placed earlier in this same bundle: VLIW bundle
+        // semantics read all operands before any write lands)
+        while bundle.len() < m.issue_width {
+            // highest height first, lowest index among equals
+            let best = ready
+                .iter()
+                .enumerate()
+                .filter(|&(_, &v)| earliest[v] <= cycle && used[class[v]] < m.units[class[v]])
+                .max_by_key(|&(_, &v)| (h[v], std::cmp::Reverse(v)));
+            let Some((slot, &v)) = best else { break };
+            ready.swap_remove(slot);
+            used[class[v]] += 1;
             cycle_of[v] = cycle;
             bundle.push(ops[v].clone());
             remaining -= 1;
+            for e in succs.of(v) {
+                earliest[e.to] = earliest[e.to].max(cycle + e.lat);
+                waiting[e.to] -= 1;
+                if waiting[e.to] == 0 {
+                    ready.push(e.to);
+                }
+            }
         }
         bundles.push(bundle);
         cycle += 1;
@@ -128,8 +119,48 @@ pub fn list_schedule(ops: &[Op], m: &MachineDesc) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deps::IrEdge;
+    use crate::ims::bounded_heights;
     use crate::ir::{BinKind, OpKind, Operand};
+    use proptest::prelude::*;
     use slc_analysis::LinForm;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 1000, .. ProptestConfig::default() })]
+
+        /// On a block's graph shape (forward edges, plus edges from every
+        /// op into a branch that has no out-edges, wherever it sits) the
+        /// one reverse pass equals the edge-sweep fixpoint IMS runs on
+        /// cyclic graphs.
+        #[test]
+        fn one_pass_heights_match_fixpoint(
+            n in 1usize..16,
+            raw in proptest::collection::vec((0usize..16, 0usize..16, 0u32..6), 0..48),
+            branch in 0usize..17
+        ) {
+            let mut edges: Vec<IrEdge> = raw
+                .iter()
+                .filter(|&&(a, b, _)| a % n != b % n)
+                .map(|&(a, b, lat)| {
+                    let (from, to) = ((a % n).min(b % n), (a % n).max(b % n));
+                    IrEdge { from, to, lat, dist: 0 }
+                })
+                .filter(|e| e.from != branch)
+                .collect();
+            if branch < n {
+                edges.extend((0..n).filter(|&u| u != branch).map(|u| IrEdge {
+                    from: u,
+                    to: branch,
+                    lat: 0,
+                    dist: 0,
+                }));
+            }
+            prop_assert_eq!(
+                heights(&EdgeIndex::new(n, &edges, |e| e.from)),
+                bounded_heights(n, &edges)
+            );
+        }
+    }
 
     fn lin(c: i64, k: i64) -> LinForm {
         LinForm::var("i").scale(c).add(&LinForm::constant(k))
@@ -139,7 +170,7 @@ mod tests {
         Op::new(OpKind::Load {
             dst,
             array: "A".into(),
-            addr: Some(lin(1, k)),
+            addr: Some(lin(1, k).into()),
         })
     }
 

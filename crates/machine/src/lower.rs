@@ -22,6 +22,7 @@ use crate::ir::{BinKind, Lir, LirLoop, LirProgram, Op, OpKind, Operand, VReg};
 use slc_analysis::linform::{linearize, LinForm};
 use slc_ast::{AssignOp, BinOp, Expr, LValue, Program, Stmt, Ty, UnOp};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Lowering errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,8 +137,8 @@ impl<'p> Lowerer<'p> {
                 let dst = self.fresh();
                 let mut op = Op::new(OpKind::Load {
                     dst,
-                    array: n.clone(),
-                    addr,
+                    array: n.as_str().into(),
+                    addr: addr.map(Arc::new),
                 });
                 op.pred = pred;
                 out.push(op);
@@ -306,8 +307,8 @@ impl<'p> Lowerer<'p> {
                 let addr = self.address(n, idx);
                 let mut op = Op::new(OpKind::Store {
                     src: rhs_val.0,
-                    array: n.clone(),
-                    addr,
+                    array: n.as_str().into(),
+                    addr: addr.map(Arc::new),
                 });
                 op.pred = pred;
                 out.push(op);

@@ -6,7 +6,7 @@
 //! the cycle simulator read everything from here — nothing is hard-coded to
 //! a target.
 
-use crate::ir::{OpClass, ALL_CLASSES};
+use crate::ir::OpClass;
 
 /// How the machine finds instruction-level parallelism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,29 +58,25 @@ pub struct MachineDesc {
 }
 
 impl MachineDesc {
-    fn class_index(c: OpClass) -> usize {
-        ALL_CLASSES.iter().position(|&x| x == c).unwrap()
-    }
-
     /// Functional units available for a class.
     pub fn units_of(&self, c: OpClass) -> usize {
-        self.units[Self::class_index(c)]
+        self.units[c.index()]
     }
 
     /// Result latency of a class.
     pub fn latency_of(&self, c: OpClass) -> u32 {
-        self.latency[Self::class_index(c)]
+        self.latency[c.index()]
     }
 
     /// Set the unit count of a class (builder helper).
     pub fn with_units(mut self, c: OpClass, n: usize) -> Self {
-        self.units[Self::class_index(c)] = n;
+        self.units[c.index()] = n;
         self
     }
 
     /// Set the latency of a class (builder helper).
     pub fn with_latency(mut self, c: OpClass, l: u32) -> Self {
-        self.latency[Self::class_index(c)] = l;
+        self.latency[c.index()] = l;
         self
     }
 

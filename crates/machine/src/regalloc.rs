@@ -10,33 +10,49 @@
 //! Fig. 11.
 
 use crate::ir::Bundle;
-use std::collections::HashMap;
 
 /// Maximum number of simultaneously live registers across a bundle
 /// schedule. A register is live from its (first) defining cycle to its last
 /// using cycle; registers read before any definition (live-in: loop
 /// carried scalars) are live from cycle 0.
 pub fn max_pressure(bundles: &[Bundle]) -> usize {
-    let mut first_def: HashMap<u32, usize> = HashMap::new();
-    let mut last_use: HashMap<u32, usize> = HashMap::new();
+    const NONE: usize = usize::MAX;
+    let mut n_regs = 0;
+    for op in bundles.iter().flatten() {
+        op.visit_srcs(|r| n_regs = n_regs.max(r as usize + 1));
+        if let Some(d) = op.dst() {
+            n_regs = n_regs.max(d as usize + 1);
+        }
+    }
+    // per register: first defining cycle (0 when live-in) and last use
+    let mut first_def = vec![NONE; n_regs];
+    let mut last_use = vec![NONE; n_regs];
     for (c, b) in bundles.iter().enumerate() {
         for op in b {
-            for r in op.srcs() {
-                last_use.insert(r, c);
-                first_def.entry(r).or_insert(0); // live-in if undefined
-            }
+            op.visit_srcs(|r| {
+                let r = r as usize;
+                last_use[r] = c;
+                if first_def[r] == NONE {
+                    first_def[r] = 0; // live-in if undefined
+                }
+            });
             if let Some(d) = op.dst() {
-                first_def.entry(d).or_insert(c);
-                last_use.entry(d).or_insert(c);
+                let d = d as usize;
+                if first_def[d] == NONE {
+                    first_def[d] = c;
+                }
+                if last_use[d] == NONE {
+                    last_use[d] = c;
+                }
             }
         }
     }
-    let n = bundles.len();
-    let mut delta = vec![0i64; n + 1];
-    for (r, &s) in &first_def {
-        let e = last_use.get(r).copied().unwrap_or(s);
-        delta[s] += 1;
-        delta[e + 1] -= 1;
+    let mut delta = vec![0i64; bundles.len() + 1];
+    for (&s, &e) in first_def.iter().zip(&last_use) {
+        if s != NONE {
+            delta[s] += 1;
+            delta[e + 1] -= 1;
+        }
     }
     let mut live = 0i64;
     let mut peak = 0i64;
@@ -66,13 +82,6 @@ pub fn spills(pressure: usize, arch_regs: usize) -> SpillInfo {
         excess,
         extra_mem_per_iter: 2 * excess,
     }
-}
-
-/// Combine ops from a loop body into the pressure measure used for the
-/// pipelined (IMS) path, where the scheduler already reports a
-/// versions-adjusted pressure.
-pub fn pipelined_spills(reg_pressure: usize, arch_regs: usize) -> SpillInfo {
-    spills(reg_pressure, arch_regs)
 }
 
 #[cfg(test)]

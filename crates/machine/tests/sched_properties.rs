@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use slc_analysis::LinForm;
-use slc_machine::ir::{BinKind, Op, OpClass, OpKind, Operand, ALL_CLASSES};
+use slc_machine::ir::{BinKind, Op, OpKind, Operand};
 use slc_machine::mach::MachineDesc;
 use slc_machine::{intra_deps, list_schedule, modulo_schedule, res_mii};
 
@@ -30,7 +30,7 @@ fn op_strategy(nregs: u32) -> impl Strategy<Value = OpT> {
 }
 
 fn materialize(ts: &[OpT]) -> Vec<Op> {
-    let lin = |off: i64| Some(LinForm::var("i").add(&LinForm::constant(off)));
+    let lin = |off: i64| Some(LinForm::var("i").add(&LinForm::constant(off)).into());
     ts.iter()
         .map(|t| match t {
             OpT::Load { dst, off } => Op::new(OpKind::Load {
@@ -61,10 +61,6 @@ fn materialize(ts: &[OpT]) -> Vec<Op> {
         .collect()
 }
 
-fn class_idx(c: OpClass) -> usize {
-    ALL_CLASSES.iter().position(|&x| x == c).unwrap()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
@@ -81,7 +77,7 @@ proptest! {
             prop_assert!(b.len() <= m.issue_width);
             let mut used = [0usize; 7];
             for op in b {
-                let ci = class_idx(op.class());
+                let ci = op.class().index();
                 used[ci] += 1;
                 prop_assert!(used[ci] <= m.units[ci].max(1));
             }
@@ -111,7 +107,7 @@ proptest! {
             prop_assert!(row.len() <= m.issue_width, "issue width violated");
             let mut used = [0usize; 7];
             for op in row {
-                let ci = class_idx(op.class());
+                let ci = op.class().index();
                 used[ci] += 1;
                 prop_assert!(used[ci] <= m.units[ci].max(1), "units violated");
             }

@@ -78,20 +78,16 @@ fn is_innermost(l: &LirLoop) -> bool {
 fn build_loop(l: &LirLoop, m: &MachineDesc, kind: CompilerKind, infos: &mut Vec<LoopInfo>) -> Seg {
     let arch_regs = m.int_regs + m.fp_regs;
     if is_innermost(l) {
-        // innermost: single block body (lowering guarantees one block)
-        let ops: Vec<Op> = l
-            .body
-            .iter()
-            .flat_map(|it| match it {
-                Lir::Block(b) => b.clone(),
-                Lir::Loop(_) => unreachable!(),
-            })
-            .collect();
-        // try machine-level modulo scheduling
+        let [Lir::Block(ops)] = &l.body[..] else {
+            unreachable!("lowering gives an innermost loop one block")
+        };
+        // try machine-level modulo scheduling, keeping the list schedule it
+        // is weighed against for the fallback
+        let mut list = None;
         if kind == CompilerKind::OptimizingMs {
-            if let Some(ms) = modulo_schedule(&ops, m, &l.var, l.step) {
-                let list_len = list_schedule(&ops, m).bundles.len() as i64;
-                let profitable = ms.ii < list_len && l.trips > ms.stages;
+            if let Some(ms) = modulo_schedule(ops, m, &l.var, l.step) {
+                let sched = list.insert(list_schedule(ops, m));
+                let profitable = ms.ii < sched.len() as i64 && l.trips > ms.stages;
                 if profitable {
                     let sp = spills(ms.reg_pressure, arch_regs);
                     infos.push(LoopInfo {
@@ -118,7 +114,10 @@ fn build_loop(l: &LirLoop, m: &MachineDesc, kind: CompilerKind, infos: &mut Vec<
                 }
             }
         }
-        let bundles = schedule_block(&ops, m, kind);
+        let bundles = match list {
+            Some(sched) => sched.bundles,
+            None => schedule_block(ops, m, kind),
+        };
         let pressure = max_pressure(&bundles);
         let sp = spills(pressure, arch_regs);
         infos.push(LoopInfo {

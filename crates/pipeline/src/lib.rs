@@ -22,6 +22,7 @@
 pub mod batch;
 pub mod cache;
 pub mod compile;
+pub mod digest;
 pub mod experiments;
 pub mod explain;
 pub mod par;
@@ -42,6 +43,7 @@ pub use batch::{
 };
 pub use cache::{CacheReport, KeyedStore, StoreStats};
 pub use compile::{compile, compile_lir, CompileResult, CompilerKind, LoopInfo};
+pub use digest::sha256_hex;
 pub use experiments::{
     format_rows, measure_gap, measure_suite, measure_suite_on, measure_workload, run, GapRow,
     LoopRow, Metrics,

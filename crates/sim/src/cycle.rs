@@ -53,7 +53,7 @@
 //!    or already known from phase A, so every reported number is
 //!    bit-identical to the reference walk.
 
-use slc_machine::ir::{Bundle, Op, OpClass, ALL_CLASSES};
+use slc_machine::ir::{Bundle, Op, OpClass};
 use slc_machine::mach::{IssueModel, MachineDesc};
 use std::collections::HashMap;
 
@@ -230,10 +230,6 @@ impl Cache {
     }
 }
 
-fn class_idx(c: OpClass) -> usize {
-    ALL_CLASSES.iter().position(|&x| x == c).unwrap()
-}
-
 /// Per-cycle issue-slot usage for the in-order model, as a tagged ring.
 ///
 /// Exactness: the in-order walk only ever *reads* usage at cycles
@@ -379,7 +375,7 @@ impl SimState<'_> {
     }
 
     fn count(&mut self, op: &Op) {
-        self.result.class_counts[class_idx(op.class())] += 1;
+        self.result.class_counts[op.class().index()] += 1;
     }
 
     /// Charge a memory access; returns extra latency (0 on hit).
@@ -427,7 +423,7 @@ impl SimState<'_> {
         let mut t = self.cycle;
         op.visit_srcs(|r| t = t.max(self.ready[r as usize]));
         // find an issue slot with free resources
-        let ci = class_idx(op.class());
+        let ci = op.class().index();
         let width = self.m.issue_width as u32;
         let cap = self.m.units[ci].max(1) as u32;
         loop {
@@ -611,7 +607,7 @@ impl SimState<'_> {
         for b in bundles {
             let mut fb = Vec::with_capacity(b.len());
             for op in b {
-                let ci = class_idx(op.class());
+                let ci = op.class().index();
                 per_trip_counts[ci] += 1;
                 let mem = op.mem().map(|(_, _, is_store)| {
                     streams.push(self.compile_stream(op, l));
@@ -984,7 +980,7 @@ mod tests {
         Op::new(OpKind::Load {
             dst,
             array: "A".into(),
-            addr: Some(lin_i(k)),
+            addr: Some(lin_i(k).into()),
         })
     }
 
@@ -1048,7 +1044,7 @@ mod tests {
             let a = load(0, 0);
             let mut b = load(1, 0);
             if let slc_machine::ir::OpKind::Load { addr, .. } = &mut b.kind {
-                *addr = Some(lin_i(stride));
+                *addr = Some(lin_i(stride).into());
             }
             prog_with_loop(vec![vec![a], vec![b]], 64)
         };

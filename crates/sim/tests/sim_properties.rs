@@ -14,7 +14,7 @@ fn load(dst: u32, c: i64, k: i64) -> Op {
     Op::new(OpKind::Load {
         dst,
         array: "A".into(),
-        addr: Some(lin_i(c, k)),
+        addr: Some(lin_i(c, k).into()),
     })
 }
 

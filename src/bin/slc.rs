@@ -93,6 +93,10 @@
 //!   --out <PATH>                   canonical JSON report (BENCH_batch.json;
 //!                                  deterministic — byte-identical across
 //!                                  runs and thread counts)
+//!   --check-digest <FILE>          after writing every output, compare the
+//!                                  report's SHA-256 with the hex digest in
+//!                                  FILE (e.g. BENCH_batch.sha256); a
+//!                                  mismatch or an unreadable FILE exits 1
 //!   --timing <PATH>                wall-clock sidecar JSON (not written
 //!                                  unless requested; not deterministic;
 //!                                  includes the per-pass breakdown)
@@ -212,7 +216,8 @@ fn usage() -> ! {
          \x20      slc lint [--all] [--json] [FILE]\n\
          \x20      slc deps [--all] [--json] [FILE]\n\
          \x20      slc batch [--passes PLAN] [--scheduler ...] [--threads N] [--out PATH] [--timing PATH]\n\
-         \x20                [--sim-bench PATH] [--repeat N] [--verify] [--trace PATH] [--events PATH]\n\
+         \x20                [--check-digest FILE] [--sim-bench PATH] [--repeat N] [--verify]\n\
+         \x20                [--trace PATH] [--events PATH]\n\
          \x20      slc stats [--threads N] [--json] [--out PATH] [--check PATH]\n\
          \x20                [--histograms] [--hist-out PATH] [--hist-check PATH]\n\
          \x20      slc trace-check FILE\n\
@@ -307,8 +312,8 @@ fn read_input(file: &Option<String>) -> String {
 fn batch_usage() -> ! {
     eprintln!(
         "usage: slc batch [--passes PLAN] [--scheduler heuristic|exact] [--threads N]\n\
-         \x20               [--shards N] [--out PATH] [--timing PATH] [--sim-bench PATH]\n\
-         \x20               [--repeat N] [--verify] [--trace PATH] [--events PATH]"
+         \x20               [--shards N] [--out PATH] [--check-digest FILE] [--timing PATH]\n\
+         \x20               [--sim-bench PATH] [--repeat N] [--verify] [--trace PATH] [--events PATH]"
     );
     exit(2)
 }
@@ -319,6 +324,7 @@ fn batch_main(args: impl Iterator<Item = String>) -> ! {
     let mut cfg = BatchConfig::full_matrix();
     let mut shards: Option<usize> = None;
     let mut out_path: Option<String> = None;
+    let mut digest_path: Option<String> = None;
     let mut timing_path: Option<String> = None;
     let mut sim_bench_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
@@ -352,6 +358,7 @@ fn batch_main(args: impl Iterator<Item = String>) -> ! {
                 )
             }
             "--out" => out_path = Some(args.next().unwrap_or_else(|| batch_usage())),
+            "--check-digest" => digest_path = Some(args.next().unwrap_or_else(|| batch_usage())),
             "--timing" => timing_path = Some(args.next().unwrap_or_else(|| batch_usage())),
             "--sim-bench" => sim_bench_path = Some(args.next().unwrap_or_else(|| batch_usage())),
             "--trace" => trace_path = Some(args.next().unwrap_or_else(|| batch_usage())),
@@ -387,6 +394,15 @@ fn batch_main(args: impl Iterator<Item = String>) -> ! {
         })
     });
 
+    // read the pinned digest before the (long) matrix run
+    let pinned = digest_path.map(|p| match std::fs::read_to_string(&p) {
+        Ok(d) => (p, d.trim().to_string()),
+        Err(e) => {
+            eprintln!("slc batch: cannot read {p}: {e}");
+            exit(1)
+        }
+    });
+
     let tracer = if trace_path.is_some() || events_path.is_some() {
         Tracer::enabled()
     } else {
@@ -417,7 +433,8 @@ fn batch_main(args: impl Iterator<Item = String>) -> ! {
     }
     eprintln!("slc batch: {}", report.summary());
 
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
+    let doc = report.to_json();
+    if let Err(e) = std::fs::write(&out_path, &doc) {
         eprintln!("slc batch: cannot write {out_path}: {e}");
         exit(1)
     }
@@ -455,6 +472,14 @@ fn batch_main(args: impl Iterator<Item = String>) -> ! {
             exit(1)
         }
         eprintln!("slc batch: wrote {ep}");
+    }
+    if let Some((p, want)) = pinned {
+        let got = slc::pipeline::sha256_hex(doc.as_bytes());
+        if got != want {
+            eprintln!("slc batch: DIGEST MISMATCH: report sha256 {got}, {p} pins {want}");
+            exit(1)
+        }
+        eprintln!("slc batch: digest matches {p} ({got})");
     }
     if cfg.verify {
         let violations = report.verify_violations();
